@@ -43,7 +43,7 @@ from repro.campaign import (  # noqa: E402
     write_campaign_bench,
 )
 from repro.scenarios import CANNED_SCENARIOS  # noqa: E402
-from repro.scenarios.runner import DEFAULT_KERNEL  # noqa: E402
+from repro.simulation.solvers import DEFAULT_KERNEL, KERNELS  # noqa: E402
 from repro.util.wallclock import wall_perf_counter  # noqa: E402
 
 SMOKE_SCENARIOS = ("diurnal", "flash_crowd")
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         default=Path("campaign_results.jsonl"),
         help="append-only results store (default: campaign_results.jsonl)",
     )
-    parser.add_argument("--kernel", default=DEFAULT_KERNEL, choices=["event", "fast", "reference"])
+    parser.add_argument("--kernel", default=DEFAULT_KERNEL, choices=KERNELS)
     parser.add_argument(
         "--table-out",
         type=Path,

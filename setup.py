@@ -1,7 +1,7 @@
-"""Setuptools shim so `pip install -e .` works without the `wheel` package.
+"""Setuptools shim for tools that still invoke ``setup.py`` directly
+(``python setup.py --name``, ``python setup.py build``).
 
-The build configuration lives in pyproject.toml; this file only enables the
-legacy editable-install path on offline environments.
+The build configuration lives in pyproject.toml.
 """
 from setuptools import setup
 

@@ -26,8 +26,9 @@ from typing import Callable
 
 from repro.campaign.grid import CampaignCell, CampaignGrid
 from repro.campaign.store import ResultsStore
-from repro.scenarios.runner import DEFAULT_KERNEL, run_scenario
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.simulation.solvers import DEFAULT_KERNEL
 from repro.sla.scorecard import scorecard_row
 from repro.util.wallclock import wall_perf_counter
 

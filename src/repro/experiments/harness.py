@@ -48,8 +48,7 @@ class TenantSeriesPoint:
     window's per-tick latency distribution summaries -- not means of
     per-tick percentiles -- so a one-tick latency spike inside the window
     surfaces at the tail even when the window mean hides it.  ``None`` when
-    the simulator recorded no distributions
-    (``record_latency_distributions=False`` or pre-distribution runs).
+    the window holds no distributions (pre-distribution runs).
     """
 
     minute: float

@@ -306,8 +306,8 @@ class LatencyPercentileWithin(ScenarioAssertion):
     window distributions (:class:`~repro.simulation.latency.LatencySummary`),
     so a tenant whose *mean* stays flat while its tail spikes still fails.
     ``percentile`` must be 95 or 99 -- the two the harness records.  Fails
-    when no sample carries distribution data -- a run built with
-    ``record_latency_distributions=False`` cannot vacuously pass a tail
+    when no sample carries distribution data -- samples that lack the
+    tail fields (pre-distribution traces) cannot vacuously pass a tail
     promise.
     """
 
@@ -336,7 +336,7 @@ class LatencyPercentileWithin(ScenarioAssertion):
             return self._verdict(
                 False,
                 f"no p{self.percentile} samples recorded for tenant "
-                f"{self.tenant!r} (latency distributions disabled?)",
+                f"{self.tenant!r} (samples carry no latency distributions)",
             )
         worst = max(points, key=lambda p: getattr(p, attr))
         observed = getattr(worst, attr)

@@ -32,16 +32,10 @@ from repro.scenarios.schedule import compile_spec
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec
+from repro.simulation.solvers import DEFAULT_KERNEL
 
 #: Controllers a scenario can run under.
 CONTROLLERS = ("none", "met", "tiramola", "planner")
-
-#: Kernel scenario runs default to.  The event kernel soaked across the
-#: whole catalog byte-identical to ``"fast"`` (tests/test_kernel_soak.py)
-#: and fast-forwards quiescent stretches, so it is the default for every
-#: scenario path (runner, traces, scorecards, campaigns); pass
-#: ``kernel="fast"`` explicitly to opt out.
-DEFAULT_KERNEL = "event"
 
 #: Default scenario hardware: the weak elasticity-experiment VMs of
 #: Section 6.4, so reduced-scale scenarios still saturate a few nodes.

@@ -15,25 +15,24 @@ framework, the tiramola baseline and the manual strategies need:
   node (drain + restart), move regions, trigger major compactions.
 
 Three kernels solve the per-tick closed-loop fixed point (implemented as
-solver strategies in :mod:`repro.simulation.solvers`):
+solvers in :mod:`repro.simulation.solvers`):
 
-* ``kernel="fast"`` (the default) keeps an incremental ``node -> regions``
-  index, reuses :class:`~repro.simulation.perfmodel.RegionLoadProfile`
-  objects and offered-rate dicts across fixed-point iterations, evaluates
-  nodes through memoised tick-constant
-  :class:`~repro.simulation.perfmodel.NodeEvaluator` contexts, and stops
-  iterating as soon as per-binding throughputs converge below
-  ``fixed_point_tolerance``;
+* ``kernel="event"`` (the default) keeps an incremental ``node -> regions``
+  index, evaluates nodes through memoised tick-constant
+  :class:`~repro.simulation.perfmodel.NodeEvaluator` contexts over
+  slot-indexed rate rows, and stops iterating as soon as per-binding
+  throughputs converge below ``fixed_point_tolerance``.  A tick-stable,
+  insert-free fixed point is *reused* across ticks until any mutation
+  dirties it, and an internal :class:`~repro.simulation.events.EventLoop`
+  bounds how far a quiescent stretch may be fast-forwarded in one
+  macro-tick;
+* ``kernel="fast"`` is the same solver with reuse and fast-forwarding off:
+  every tick is solved.  It is the oracle the event kernel's reuse path is
+  soaked against (byte-identical traces across the catalog);
 * ``kernel="reference"`` preserves the original seed behaviour -- full
   region scans, fresh allocations and a fixed iteration count -- and exists
   as the baseline for ``scripts/bench_kernel.py`` and the kernel
-  equivalence regression test;
-* ``kernel="event"`` builds on the fast kernel: a tick-stable, insert-free
-  fixed point is *reused* across ticks until any mutation dirties it, an
-  internal :class:`~repro.simulation.events.EventLoop` bounds how far a
-  quiescent stretch may be fast-forwarded in one macro-tick, and real
-  solves run through a vectorised (numpy) per-region hot loop at scale.
-  Opt-in because fast remains the golden-trace kernel.
+  equivalence regression test.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
 from repro.simulation.solvers import (
+    DEFAULT_KERNEL,
     KERNEL_EVENT,
     KERNEL_FAST,
     KERNEL_REFERENCE,
@@ -184,12 +184,10 @@ class ClusterSimulator:
         boot_seconds: float = DEFAULT_BOOT_SECONDS,
         restart_seconds: float = DEFAULT_RESTART_SECONDS,
         tick_seconds: float = 5.0,
-        kernel: str = KERNEL_FAST,
+        kernel: str = DEFAULT_KERNEL,
         fixed_point_tolerance: float = DEFAULT_FIXED_POINT_TOLERANCE,
         fixed_point_max_iterations: int = DEFAULT_FIXED_POINT_ITERATIONS,
         seed: int | random.Random = 0,
-        vectorize: bool | None = None,
-        record_latency_distributions: bool = True,
     ) -> None:
         if kernel not in KERNELS:
             raise SimulationError(f"unknown kernel {kernel!r}")
@@ -217,10 +215,6 @@ class ClusterSimulator:
         #: Most recent per-binding mean request latency (ms), from the same
         #: final fixed-point state as the achieved throughputs.
         self._binding_latency_ms: dict[str, float] = {}
-        #: Whether solvers build -- and the tick loop records -- per-binding
-        #: latency distribution summaries alongside the scalar means.  On by
-        #: default; pure-throughput sweeps can turn it off (PERFORMANCE.md).
-        self.record_latency_distributions = record_latency_distributions
         #: Most recent per-binding latency summary (same solve as the means).
         self._binding_latency_summary: dict[str, object] = {}
         #: Incremental node -> {region_id -> region} index (``None`` bucket
@@ -237,7 +231,7 @@ class ClusterSimulator:
         self._workloads_version = 0
         #: Bumped on any topology/config/hardware/assignment/locality change;
         #: together with the workload version it forms the signature the
-        #: event kernel's cached solution and vector context are keyed on.
+        #: event kernel's cached solution is keyed on.
         self._structure_version = 0
         #: Pre-fault hardware of degraded nodes (see degrade_node).
         self._base_hardware: dict[str, HardwareSpec] = {}
@@ -247,7 +241,7 @@ class ClusterSimulator:
         self.events = EventLoop()
         #: Tick/solve/skip counters (benchmark + regression instrumentation).
         self.stats = KernelStats()
-        self._solver = make_solver(kernel, self, vectorize=vectorize)
+        self._solver = make_solver(kernel, self)
 
     # ------------------------------------------------------------------ #
     # topology management
@@ -539,7 +533,7 @@ class ClusterSimulator:
     ) -> None:
         """Mutate a live tenant (mix shifts, load curves, thread scaling).
 
-        The fast kernel caches per-region unit rates keyed on the workload
+        The event solver caches per-region unit rates keyed on the workload
         version, so any change to the op mix (or the region weights) must go
         through here -- mutating the binding directly would leave the kernel
         serving the stale mix.  Throughput targets are consulted live and
@@ -643,9 +637,8 @@ class ClusterSimulator:
         """
         remaining = seconds
         dt = self.clock.tick_seconds
-        event_kernel = self.kernel == KERNEL_EVENT
         while remaining > 1e-9:
-            if event_kernel and remaining >= 2.0 * dt - 1e-9:
+            if remaining >= 2.0 * dt - 1e-9:
                 budget = int((remaining + 1e-9) // dt)
                 skip = self.quiescent_ticks(budget)
                 if skip >= 2:
@@ -690,7 +683,7 @@ class ClusterSimulator:
         sampling cadences) before skipping.
         """
         now = self.clock.now
-        if self.kernel != KERNEL_EVENT or not self._solver.reuse_ready():
+        if not self._solver.reuse_ready():
             return now
         horizon = self.events.horizon(now, self._event_stale)
         if horizon <= now:
@@ -714,7 +707,7 @@ class ClusterSimulator:
         steady horizon, so the first tick at (or after) the horizon is
         always simulated for real.
         """
-        if self.kernel != KERNEL_EVENT or max_ticks < 2:
+        if max_ticks < 2:
             return 0
         now = self.clock.now
         dt = self.clock.tick_seconds
@@ -1029,7 +1022,7 @@ class ClusterSimulator:
             samples.append((node.name, "requests", node.served_ops))
             samples.append((node.name, "locality", locality))
         self.metrics.record_many(now, samples)
-        if binding_summaries and self.record_latency_distributions:
+        if binding_summaries:
             self._binding_latency_summary = binding_summaries
             self.metrics.record_distributions(
                 now,
@@ -1141,7 +1134,7 @@ class ClusterSimulator:
             now = now + dt
             timestamps.append(now)
         self.metrics.record_many_repeated(timestamps, samples)
-        if binding_summaries and self.record_latency_distributions:
+        if binding_summaries:
             # The same frozen summary object is appended at every timestamp:
             # a window merge over the span adds its integer counts k times,
             # bit-identical to the k per-tick summaries individual ticks

@@ -219,8 +219,8 @@ def evaluate_slo(slo: SLODefinition, run, sample_minutes: float = 1.0) -> SLORep
         if observed is None:
             raise ValueError(
                 f"SLO for tenant {slo.tenant!r} declares a p{percentile} ceiling "
-                "but the run recorded no latency distributions (was the "
-                "simulator built with record_latency_distributions=False?)"
+                "but the run recorded no latency distributions (samples from "
+                "a trace or run that predates latency distributions?)"
             )
         return observed
 

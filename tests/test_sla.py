@@ -366,7 +366,7 @@ class TestSLAAssertions:
             LatencyPercentileWithin(tenant="A", percentile=50)
 
     def test_latency_percentile_within_fails_without_distributions(self):
-        # Samples exist but carry no quantiles (distributions disabled):
+        # Samples exist but carry no quantiles (pre-distribution data):
         # a tail promise must not pass vacuously.
         run = make_run(points=[(1.0, 900.0, 10.0), (2.0, 900.0, 10.0)])
         verdict = LatencyPercentileWithin(tenant="A", ceiling_ms=35.0).evaluate(
