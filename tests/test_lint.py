@@ -6,6 +6,8 @@ asserts the *exact* finding set -- a rule silently disabled (or firing
 off-by-one) fails here, which is what makes the CI lint gate trustworthy.
 """
 
+import contextlib
+import io
 import random
 import re
 import time
@@ -138,12 +140,24 @@ def test_pragma_without_reason_is_a_finding_and_suppresses_nothing(tmp_path):
 # Repo gate + baseline workflow
 # --------------------------------------------------------------------------
 
-def test_repo_is_lint_clean_against_the_committed_baseline(capsys):
-    # One full-repo lint through the CI entry point: ``--check`` compares
-    # against the committed baseline and prints every new finding as
-    # ``path:line:RULE: message``, which the failure message shows.
-    status = lint_main(["--check"], root=REPO_ROOT)
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def repo_check():
+    # One full-repo lint through the CI entry point, shared by the two gate
+    # tests below: ``--check`` compares against the committed baseline and
+    # prints every new finding as ``path:line:RULE: message``.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = lint_main(["--check"], root=REPO_ROOT)
+    return status, out.getvalue()
+
+
+def test_repo_is_lint_clean_against_the_committed_baseline(repo_check):
+    status, out = repo_check
+    assert status == 0, out
+
+
+def test_cli_check_exits_zero_on_the_repo(repo_check):
+    status, out = repo_check
     assert status == 0, out
     assert "clean" in out, out
 
