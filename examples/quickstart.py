@@ -46,8 +46,9 @@ def main() -> None:
 
     print()
     print("MeT decisions:", met.status.decisions, "plans applied:", met.status.plans_applied)
-    for event in met.events("plan"):
-        print(f"  t={event.timestamp/60:5.1f} min  {event.detail}")
+    for event in met.log:
+        if event.kind == "plan":
+            print(f"  t={event.timestamp/60:5.1f} min  {event.detail}")
     print("per-workload throughput (ops/s):")
     for name in sorted(simulator.bindings):
         print(f"  {name:12s} {simulator.binding_throughput(name):10,.0f}")

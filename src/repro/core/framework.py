@@ -9,22 +9,14 @@ accumulated and no action is in flight, and advances the actuator's plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.actuator import Actuator
 from repro.core.decision import DecisionMaker, ReconfigurationPlan
 from repro.core.interfaces import ClusterBackend
 from repro.core.monitor import Monitor
 from repro.core.parameters import MeTParameters
-
-
-@dataclass
-class MeTEvent:
-    """A timestamped record of a controller decision or action."""
-
-    timestamp: float
-    kind: str
-    detail: str = ""
+from repro.elasticity.autoscaler import Autoscaler
 
 
 @dataclass
@@ -33,11 +25,17 @@ class MeTStatus:
 
     decisions: int = 0
     plans_applied: int = 0
-    events: list[MeTEvent] = field(default_factory=list)
 
 
-class MeT:
-    """The workload-aware elasticity controller."""
+class MeT(Autoscaler):
+    """The workload-aware elasticity controller.
+
+    Its decisions go to the shared :attr:`log` as
+    :class:`~repro.elasticity.autoscaler.ControllerEvent` records of kind
+    ``"healthy"``, ``"plan"`` or ``"plan-complete"``.  Unlike the
+    threshold controllers it keeps the monitor's sampling cadence, and its
+    cooldown runs from plan *completion* rather than from submission.
+    """
 
     def __init__(
         self,
@@ -45,8 +43,8 @@ class MeT:
         parameters: MeTParameters | None = None,
         enabled: bool = True,
     ) -> None:
+        super().__init__(backend)
         self.parameters = (parameters or MeTParameters()).validate()
-        self.backend = backend
         self.monitor = Monitor(backend, self.parameters)
         self.decision_maker = DecisionMaker(self.parameters)
         self.actuator = Actuator(
@@ -86,7 +84,7 @@ class MeT:
         plan = self.decision_maker.decide(snapshot)
         self.status.decisions += 1
         if plan is None or plan.is_noop():
-            self._record(now, "healthy", "cluster load acceptable")
+            self._record(now, "healthy", detail="cluster load acceptable")
             return None
         submitted = self.actuator.submit(plan, now)
         if not submitted:
@@ -94,7 +92,7 @@ class MeT:
         self._record(
             now,
             "plan",
-            f"initial={plan.initial} restarts={plan.restarts} "
+            detail=f"initial={plan.initial} restarts={plan.restarts} "
             f"adds={len(plan.new_nodes)} removes={len(plan.nodes_to_remove)} "
             f"moves={len(plan.moves)}",
         )
@@ -138,17 +136,5 @@ class MeT:
     def _plan_completed(self, now: float) -> None:
         self.status.plans_applied += 1
         self._last_action_finished = now
-        self._record(now, "plan-complete", "")
+        self._record(now, "plan-complete")
         self.monitor.reset_after_action()
-
-    def _record(self, now: float, kind: str, detail: str) -> None:
-        self.status.events.append(MeTEvent(timestamp=now, kind=kind, detail=detail))
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def events(self, kind: str | None = None) -> list[MeTEvent]:
-        """Recorded events, optionally filtered by kind."""
-        if kind is None:
-            return list(self.status.events)
-        return [event for event in self.status.events if event.kind == kind]

@@ -77,8 +77,6 @@ class Tiramola(Autoscaler):
         self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
         self._samples: dict[str, list[float]] = {}
         self._samples_taken = 0
-        self._last_sample_time: float | None = None
-        self._last_action_time: float | None = None
 
     # ------------------------------------------------------------------ #
     # controller loop
@@ -102,34 +100,18 @@ class Tiramola(Autoscaler):
         if overloaded / online >= self.policy.add_quorum and online < self.policy.max_nodes:
             name = self.backend.add_node(self.node_config, "default")
             self._last_action_time = now
-            self.log.record(now, AutoscalerAction.ADD_NODE, node=name, detail=f"overloaded={overloaded}/{online}")
+            self._record(now, AutoscalerAction.ADD_NODE.value, node=name, detail=f"overloaded={overloaded}/{online}")
         elif all_idle and online > self.policy.min_nodes:
             # Remove the node serving the fewest requests.
             victim = self._least_loaded_node(loads)
             if victim is not None:
                 self.backend.remove_node(victim)
                 self._last_action_time = now
-                self.log.record(now, AutoscalerAction.REMOVE_NODE, node=victim, detail="all nodes idle")
-
-    def next_wakeup(self, now: float) -> float:
-        """Earliest simulated time at which :meth:`step` may do real work.
-
-        ``step(t)`` returns immediately unless a metric sample is due, so
-        the next sampling instant bounds how far the event-kernel harness
-        may fast-forward without consulting this controller.
-        """
-        if self._last_sample_time is None:
-            return now
-        return self._last_sample_time + self.policy.monitor_period_seconds - 1e-9
+                self._record(now, AutoscalerAction.REMOVE_NODE.value, node=victim, detail="all nodes idle")
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _sample_due(self, now: float) -> bool:
-        if self._last_sample_time is None:
-            return True
-        return now - self._last_sample_time >= self.policy.monitor_period_seconds - 1e-9
-
     def _sample(self, now: float) -> None:
         self._last_sample_time = now
         window = self.policy.decision_samples
@@ -167,8 +149,3 @@ class Tiramola(Autoscaler):
         if not candidates:
             return None
         return min(candidates, key=candidates.get)
-
-    def _in_cooldown(self, now: float) -> bool:
-        if self._last_action_time is None:
-            return False
-        return now - self._last_action_time < self.policy.cooldown_seconds

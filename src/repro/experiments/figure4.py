@@ -117,7 +117,8 @@ def run_figure4(
         met=met_run,
         manual_homogeneous=hom_run,
         manual_heterogeneous=het_run,
-        met_events=met.events("plan") + met.events("plan-complete"),
+        met_events=[event for event in met.log if event.kind == "plan"]
+        + [event for event in met.log if event.kind == "plan-complete"],
         minutes=minutes,
         met_start_minute=met_start_minute,
     )

@@ -122,8 +122,6 @@ class PlannerController(Autoscaler):
         self._window: list[float] = []
         self._last_total: float | None = None
         self._last_total_time: float | None = None
-        self._last_sample_time: float | None = None
-        self._last_action_time: float | None = None
         self._last_budget_block: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -144,12 +142,6 @@ class PlannerController(Autoscaler):
         if not online:
             return
         self._decide(now, demand, online)
-
-    def next_wakeup(self, now: float) -> float:
-        """Earliest simulated time at which :meth:`step` may do real work."""
-        if self._last_sample_time is None:
-            return now
-        return self._last_sample_time + self.policy.monitor_period_seconds - 1e-9
 
     # ------------------------------------------------------------------ #
     # decision
@@ -175,9 +167,9 @@ class PlannerController(Autoscaler):
             name = self.backend.add_node(self.node_config, "default")
             self._last_action_time = now
             self._last_budget_block = None
-            self.log.record(
+            self._record(
                 now,
-                AutoscalerAction.ADD_NODE,
+                AutoscalerAction.ADD_NODE.value,
                 node=name,
                 detail=(
                     f"predicted p99 {self._fmt_ms(predicted)} at {count} nodes "
@@ -190,9 +182,9 @@ class PlannerController(Autoscaler):
             # without flooding them every decision period.
             if self._last_budget_block != wanted:
                 self._last_budget_block = wanted
-                self.log.record(
+                self._record(
                     now,
-                    AutoscalerAction.NONE,
+                    AutoscalerAction.NONE.value,
                     detail=(
                         f"budget {policy.hourly_budget:g}/h caps cluster at "
                         f"{affordable} nodes; model wants {wanted}"
@@ -211,9 +203,9 @@ class PlannerController(Autoscaler):
                     self.backend.remove_node(victim)
                     self._last_action_time = now
                     self._last_budget_block = None
-                    self.log.record(
+                    self._record(
                         now,
-                        AutoscalerAction.REMOVE_NODE,
+                        AutoscalerAction.REMOVE_NODE.value,
                         node=victim,
                         detail=(
                             f"predicted p99 {self._fmt_ms(predicted)} at "
@@ -224,11 +216,6 @@ class PlannerController(Autoscaler):
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def _sample_due(self, now: float) -> bool:
-        if self._last_sample_time is None:
-            return True
-        return now - self._last_sample_time >= self.policy.monitor_period_seconds - 1e-9
-
     def _sample(self, now: float) -> None:
         """Record one served-rate observation from the partition counters.
 
@@ -262,11 +249,6 @@ class PlannerController(Autoscaler):
         if not loads:
             return None
         return min(sorted(loads), key=loads.get)
-
-    def _in_cooldown(self, now: float) -> bool:
-        if self._last_action_time is None:
-            return False
-        return now - self._last_action_time < self.policy.cooldown_seconds
 
     @staticmethod
     def _fmt_ms(value: float) -> str:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.elasticity.autoscaler import AutoscalerAction
 from repro.sla.cost import DEFAULT_PRICING, pricing_model
 from repro.sla.slo import post_warmup_points, tenant_points
 
@@ -64,10 +65,11 @@ __all__ = [
     "evaluate_assertions",
 ]
 
-#: Normalised controller action kinds assertions reason about.
-ADD_NODE = "add_node"
-REMOVE_NODE = "remove_node"
-RECONFIGURE = "reconfigure"
+#: Normalised controller action kinds assertions reason about (plain
+#: strings, as they appear in a run's decision log).
+ADD_NODE = AutoscalerAction.ADD_NODE.value
+REMOVE_NODE = AutoscalerAction.REMOVE_NODE.value
+RECONFIGURE = AutoscalerAction.RECONFIGURE.value
 
 
 @dataclass(frozen=True)

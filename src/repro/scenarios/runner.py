@@ -2,10 +2,11 @@
 
 ``run_scenario`` builds the cluster, tenants and initial placement, compiles
 the spec's events into a schedule, wires up the requested controller (MeT,
-tiramola, or none) and drives the experiment harness to the end of the
-scenario.  The returned result carries everything the golden-trace
-serialiser needs: the time series, the fired-event annotations, and the
-controller's decision log in a controller-agnostic shape.
+tiramola, the planner, or none) and drives the experiment harness to the
+end of the scenario.  The returned result carries everything the
+golden-trace serialiser needs: the time series, the fired-event
+annotations, and the controller's decision log in a controller-agnostic
+shape.
 """
 
 from __future__ import annotations
@@ -186,31 +187,6 @@ def _make_controller(
     raise ValueError(f"unknown controller {name!r}; expected one of {CONTROLLERS}")
 
 
-def _normalise_decisions(name: str, controller) -> list[dict]:
-    """Controller event log in a controller-agnostic, JSON-able shape."""
-    if controller is None:
-        return []
-    if name == "met":
-        return [
-            {
-                "minute": event.timestamp / 60.0,
-                "kind": event.kind,
-                "detail": event.detail,
-            }
-            for event in controller.status.events
-        ]
-    return [
-        {
-            "minute": event.timestamp / 60.0,
-            "kind": event.action.value,
-            "detail": " ".join(
-                part for part in (event.node or "", event.detail) if part
-            ),
-        }
-        for event in controller.log.events
-    ]
-
-
 def run_scenario(
     spec: ScenarioSpec,
     controller: str = "none",
@@ -251,7 +227,9 @@ def run_scenario(
         controller=controller,
         kernel=kernel,
         run=run,
-        decisions=_normalise_decisions(controller, instance),
+        decisions=(
+            [] if instance is None else [event.as_record() for event in instance.log]
+        ),
         slo_reports=evaluate_slos(
             spec.slos, run, sample_minutes=sample_every_seconds / 60.0
         ),

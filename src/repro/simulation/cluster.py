@@ -60,6 +60,7 @@ from repro.simulation.solvers import (
     KERNEL_FAST,
     KERNEL_REFERENCE,
     KERNELS,
+    SolveResult,
     make_solver,
 )
 from repro.simulation.workload import WorkloadBinding
@@ -616,8 +617,7 @@ class ClusterSimulator:
         The :class:`~repro.simulation.latency.LatencySummary` the solver
         built at the last tick's fixed point -- the distribution whose
         weighted mean is :meth:`binding_latency_ms`.  ``None`` before the
-        first tick, for unknown tenants, or when distribution recording is
-        disabled.
+        first tick or for unknown tenants.
         """
         return self._binding_latency_summary.get(name)
 
@@ -662,10 +662,7 @@ class ClusterSimulator:
             stats.solves += 1
         else:
             stats.reused_ticks += 1
-        throughputs, node_results, region_rates, latencies, summaries = results
-        self._apply_tick_results(
-            dt, throughputs, node_results, region_rates, latencies, summaries
-        )
+        self._apply_tick_results(dt, 1, results)
         self.clock.advance(dt)
 
     # ------------------------------------------------------------------ #
@@ -735,7 +732,7 @@ class ClusterSimulator:
         for node in self.nodes.values():
             if node.pending_compaction_bytes <= 0 or not node.online:
                 continue
-            rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
+            rate = self._compaction_rate(node)
             background[node.name] = rate
             compacting.append((node, rate))
         results = self._solver.reuse(background)
@@ -748,10 +745,7 @@ class ClusterSimulator:
         # collapses to one multiply.
         for node, rate in compacting:
             node.pending_compaction_bytes -= rate * dt * ticks
-        throughputs, node_results, region_rates, latencies, summaries = results
-        self._apply_tick_results_batch(
-            dt, ticks, throughputs, node_results, region_rates, latencies, summaries
-        )
+        self._apply_tick_results(dt, ticks, results)
         stats = self.stats
         stats.ticks += ticks
         stats.skipped_ticks += ticks
@@ -817,7 +811,7 @@ class ClusterSimulator:
         """Queue a conservative completion marker for a node's compaction."""
         if self.kernel != KERNEL_EVENT or node.pending_compaction_bytes <= 0:
             return
-        rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
+        rate = self._compaction_rate(node)
         eta = (
             self.clock.now
             + node.pending_compaction_bytes / rate
@@ -905,7 +899,7 @@ class ClusterSimulator:
         for node in self.nodes.values():
             if node.pending_compaction_bytes <= 0 or not node.online:
                 continue
-            rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
+            rate = self._compaction_rate(node)
             done = min(node.pending_compaction_bytes, rate * dt)
             node.pending_compaction_bytes -= done
             background[node.name] = rate
@@ -915,40 +909,26 @@ class ClusterSimulator:
                     region.block_homes = {node.name}
         return background
 
-    # ------------------------------------------------------------------ #
-    # fixed-point solver -- delegated to the kernel's strategy
-    # ------------------------------------------------------------------ #
-    def _solve_fixed_point(
-        self, compaction_bg: dict[str, float]
-    ) -> tuple[
-        dict[str, float],
-        dict[str, object],
-        dict[str, dict[str, float]],
-        dict[str, float],
-        dict[str, object],
-    ]:
-        """Solve the closed-loop throughput fixed point for this tick.
+    def _compaction_rate(self, node: SimulatedNode) -> float:
+        """Background disk bytes/s a node's running major compaction uses."""
+        return node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
 
-        Returns the per-binding *achieved* throughput, the per-node model
-        results, the per-region achieved rates, the per-binding mean
-        request latency (ms) and the per-binding latency distribution
-        summaries at the final state.  Achieved throughput is
-        work-conserving: offered load on a node is clamped to the node's
-        capacity (utilisation 1.0).  The actual implementation lives in the
-        kernel's :class:`~repro.simulation.solvers.SolverStrategy`.
+    def _apply_tick_results(self, dt: float, ticks: int, results: SolveResult) -> None:
+        """Apply one solved (or reused) tick result ``ticks`` times.
+
+        ``tick`` passes ``ticks=1``; ``macro_tick`` passes the span length.
+        Every *rate* observable (throughputs, per-node utilisation, metric
+        sample values) is constant across the span, so the sample list is
+        built once and recorded at each tick's timestamp -- the timestamps
+        replicate :meth:`SimulationClock.advance`'s float accumulation
+        bit-exactly, so the recorded series is byte-identical to ``ticks``
+        individual ticks.  Cumulative counters advance by
+        ``rate * dt * ticks`` (a fused multiply instead of ``ticks``
+        repeated additions; the difference is ~1e-16 relative, and none at
+        all for one tick).
         """
-        return self._solver.solve(compaction_bg)
-
-    def _apply_tick_results(
-        self,
-        dt: float,
-        throughputs: dict[str, float],
-        node_results: dict[str, object],
-        region_rates: dict[str, dict[str, float]],
-        binding_latencies: dict[str, float] | None = None,
-        binding_summaries: dict[str, object] | None = None,
-    ) -> None:
-        now = self.clock.now + dt
+        throughputs, node_results, region_rates, latencies, summaries = results
+        span = dt * ticks
         # Reset per-region rates before accumulating this tick's load; only
         # regions rated last tick can hold stale values.  Counter updates go
         # through __dict__ to skip the node-indexing __setattr__ hook (these
@@ -961,108 +941,6 @@ class ClusterSimulator:
         rated = self._rated_regions = []
 
         samples: list[tuple[str, str, float]] = []
-        latencies = binding_latencies or {}
-        total = 0.0
-        for name in self.bindings:
-            throughput = throughputs.get(name, 0.0)
-            latency = latencies.get(name, 0.0)
-            self._binding_throughput[name] = throughput
-            self._binding_latency_ms[name] = latency
-            total += throughput
-            entity = f"workload:{name}"
-            samples.append((entity, "throughput", throughput))
-            samples.append((entity, "latency_ms", latency))
-
-        regions = self.regions
-        for region_id, rates in region_rates.items():
-            region = regions.get(region_id)
-            if region is None:
-                raise SimulationError(f"unknown region {region_id!r}")
-            rated.append(region)
-            get = rates.get
-            rmw = get("read_modify_write", 0.0)
-            reads = get("read", 0.0) + rmw
-            inserts = get("insert", 0.0)
-            writes = get("update", 0.0) + inserts + rmw
-            scans = get("scan", 0.0)
-            fields = region.__dict__
-            fields["reads"] += reads * dt
-            fields["writes"] += writes * dt
-            fields["scans"] += scans * dt
-            fields["read_rate"] += reads
-            fields["write_rate"] += writes
-            fields["scan_rate"] += scans
-            fields["size_bytes"] += inserts * dt * region.record_size
-
-        self.total_ops += total * dt
-        samples.append(("cluster", "throughput", total))
-        samples.append(("cluster", "operations", total * dt))
-        samples.append(("cluster", "nodes", float(self.online_node_count())))
-
-        for node in self.nodes.values():
-            hosted = self.regions_on(node.name)
-            result = node_results.get(node.name)
-            if result is None:
-                node.cpu_utilization = 0.0
-                node.io_wait = 0.0
-                node.memory_utilization = 0.0
-                node.served_ops = 0.0
-            else:
-                node.cpu_utilization = min(1.0, result.cpu_utilization)
-                node.io_wait = min(1.0, result.io_wait)
-                node.memory_utilization = min(1.0, result.memory_utilization)
-                served = 0.0
-                for region in hosted:
-                    served += region.read_rate + region.write_rate + region.scan_rate
-                node.served_ops = served
-            locality = _size_weighted_locality(hosted)
-            samples.append((node.name, "cpu", node.cpu_utilization))
-            samples.append((node.name, "io_wait", node.io_wait))
-            samples.append((node.name, "memory", node.memory_utilization))
-            samples.append((node.name, "requests", node.served_ops))
-            samples.append((node.name, "locality", locality))
-        self.metrics.record_many(now, samples)
-        if binding_summaries:
-            self._binding_latency_summary = binding_summaries
-            self.metrics.record_distributions(
-                now,
-                [
-                    (f"workload:{name}", "latency_ms", summary)
-                    for name, summary in binding_summaries.items()
-                ],
-            )
-
-    def _apply_tick_results_batch(
-        self,
-        dt: float,
-        ticks: int,
-        throughputs: dict[str, float],
-        node_results: dict[str, object],
-        region_rates: dict[str, dict[str, float]],
-        binding_latencies: dict[str, float] | None = None,
-        binding_summaries: dict[str, object] | None = None,
-    ) -> None:
-        """Apply one cached tick result ``ticks`` times in one pass.
-
-        Every *rate* observable (throughputs, per-node utilisation, metric
-        sample values) is constant across the span, so the per-tick sample
-        list is built once and recorded at each tick's timestamp -- the
-        timestamps replicate :meth:`SimulationClock.advance`'s float
-        accumulation bit-exactly, so the recorded series is byte-identical
-        to ``ticks`` individual ticks.  Cumulative counters advance by
-        ``rate * dt * ticks`` (a fused multiply instead of ``ticks``
-        repeated additions; the difference is ~1e-16 relative).
-        """
-        span = dt * ticks
-        for region in self._rated_regions:
-            fields = region.__dict__
-            fields["read_rate"] = 0.0
-            fields["write_rate"] = 0.0
-            fields["scan_rate"] = 0.0
-        rated = self._rated_regions = []
-
-        samples: list[tuple[str, str, float]] = []
-        latencies = binding_latencies or {}
         total = 0.0
         for name in self.bindings:
             throughput = throughputs.get(name, 0.0)
@@ -1093,9 +971,6 @@ class ClusterSimulator:
             fields["read_rate"] += reads
             fields["write_rate"] += writes
             fields["scan_rate"] += scans
-            # Reusable solutions are insert-free (data growth is a dirty
-            # flag); keep the term so a future relaxation cannot silently
-            # stop growing regions.
             fields["size_bytes"] += inserts * span * region.record_size
 
         self.total_ops += total * span
@@ -1126,27 +1001,32 @@ class ClusterSimulator:
             samples.append((node.name, "requests", node.served_ops))
             samples.append((node.name, "locality", locality))
 
-        # Reproduce clock.advance's float sequence: per-tick apply records
-        # at ``clock.now + dt`` and the clock then accumulates ``+= dt``.
+        if summaries:
+            self._binding_latency_summary = summaries
+        distributions = [
+            (f"workload:{name}", "latency_ms", summary)
+            for name, summary in summaries.items()
+        ]
+        metrics = self.metrics
+        if ticks == 1:
+            now = self.clock.now + dt
+            metrics.record_many(now, samples)
+            if distributions:
+                metrics.record_distributions(now, distributions)
+            return
+        # Reproduce clock.advance's float sequence: each tick records at
+        # ``clock.now + dt`` and the clock then accumulates ``+= dt``.  The
+        # same frozen summary object is appended at every timestamp, so a
+        # window merge over the span adds its integer counts ``ticks`` times
+        # (see LatencySummary.scale).
         timestamps: list[float] = []
         now = self.clock.now
         for _ in range(ticks):
             now = now + dt
             timestamps.append(now)
-        self.metrics.record_many_repeated(timestamps, samples)
-        if binding_summaries:
-            # The same frozen summary object is appended at every timestamp:
-            # a window merge over the span adds its integer counts k times,
-            # bit-identical to the k per-tick summaries individual ticks
-            # would have recorded (see LatencySummary.scale).
-            self._binding_latency_summary = binding_summaries
-            self.metrics.record_distributions_repeated(
-                timestamps,
-                [
-                    (f"workload:{name}", "latency_ms", summary)
-                    for name, summary in binding_summaries.items()
-                ],
-            )
+        metrics.record_many_repeated(timestamps, samples)
+        if distributions:
+            metrics.record_distributions_repeated(timestamps, distributions)
 
 
 def _size_weighted_locality(hosted: list[SimulatedRegion]) -> float:

@@ -100,7 +100,7 @@ SOLVER_STATE_CONTAINERS: frozenset[str] = frozenset({"nodes", "regions", "bindin
 # Tick machinery: methods that advance simulated time and apply solver
 # output back onto the cluster.  They write guarded state by design
 # (that is their job -- e.g. macro_tick draining pending compaction
-# bytes, _apply_tick_results* committing drained counters) and manage
+# bytes, _apply_tick_results committing drained counters) and manage
 # the dirty signature explicitly, so rule D4 exempts them rather than
 # demanding a declaration per write.
 TICK_MACHINERY: frozenset[str] = frozenset(
@@ -110,7 +110,6 @@ TICK_MACHINERY: frozenset[str] = frozenset(
         "run",
         "macro_tick",
         "_apply_tick_results",
-        "_apply_tick_results_batch",
         "_progress_compactions",
         "dispose",
     }

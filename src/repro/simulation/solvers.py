@@ -29,6 +29,7 @@ from operator import attrgetter
 
 from repro.simulation.latency import LatencySummary, bin_index, quantise_weight
 from repro.simulation.perfmodel import NodeEvaluator, OP_TYPES, RegionLoadProfile
+from repro.simulation.workload import UNAVAILABLE_MS
 
 #: Kernel implementations (the simulator re-exports these).
 KERNEL_FAST = "fast"
@@ -59,11 +60,6 @@ SolveResult = tuple[
     dict[str, float],
     dict[str, LatencySummary],
 ]
-
-#: Latency (ms) charged to requests against an unavailable region (node
-#: restarting): requests block and retry.  Mirrors the production solver's
-#: inline ``weight * 500.0`` term.
-UNAVAILABLE_MS = 500.0
 
 
 def binding_summaries(
@@ -484,9 +480,7 @@ class EventSolver(SolverStrategy):
             total = 0.0
             for weight, node_name in terms:
                 if node_name is None:
-                    # Region currently unavailable (node restarting):
-                    # requests block and retry, modelled as a large latency.
-                    total += weight * 500.0
+                    total += weight * UNAVAILABLE_MS
                     continue
                 mixed = cache.get(node_name)
                 if mixed is None:

@@ -21,6 +21,9 @@ from repro.simulation.perfmodel import OP_TYPES
 #: Client-side latency per operation (network RTT + YCSB client processing),
 #: in milliseconds.  Bounds single-thread throughput even on an idle cluster.
 CLIENT_OVERHEAD_MS = 1.2
+#: Latency (ms) charged to requests against an unavailable region (node
+#: restarting): requests block and retry, modelled as a large latency.
+UNAVAILABLE_MS = 500.0
 
 
 @dataclass
@@ -145,9 +148,7 @@ class WorkloadBinding:
         for region_id, weight in self.region_weights.items():
             latencies = per_region_latency_ms.get(region_id)
             if not latencies:
-                # Region currently unavailable (node restarting): requests
-                # block and retry, modelled as a large latency.
-                total += weight * 500.0
+                total += weight * UNAVAILABLE_MS
                 continue
             region_latency = sum(
                 fraction * latencies.get(op, 1.0)

@@ -46,7 +46,13 @@ def build_steady(kernel: str, nodes: int = 4, regions: int = 12) -> ClusterSimul
 
 
 def assert_identical_metrics(left: ClusterSimulator, right: ClusterSimulator) -> None:
-    """Every metric series must agree sample for sample, bit for bit."""
+    """Every metric series must agree sample for sample, bit for bit.
+
+    Each binding's latency distribution is compared too: its timestamps and
+    every sample's integer bin counts.  Distributions are the one channel a
+    macro-tick writes differently from ``k`` single ticks (one shared
+    summary object appended ``k`` times).
+    """
     left_keys = {key for key, _ in left.metrics.items()}
     right_keys = {key for key, _ in right.metrics.items()}
     assert left_keys == right_keys
@@ -54,6 +60,16 @@ def assert_identical_metrics(left: ClusterSimulator, right: ClusterSimulator) ->
         twin = left.metrics.series(*key)
         assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
         assert twin.values == series.values, f"values differ for {key}"
+    assert sorted(left.bindings) == sorted(right.bindings)
+    for name in right.bindings:
+        key = (f"workload:{name}", "latency_ms")
+        series = right.metrics.distribution(*key)
+        twin = left.metrics.distribution(*key)
+        assert series is not None and twin is not None, f"no distribution for {key}"
+        assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
+        assert [s.counts for s in twin.values] == [s.counts for s in series.values], (
+            f"distribution counts differ for {key}"
+        )
 
 
 class TestEventLoop:

@@ -221,7 +221,12 @@ def _build_quiet_pair():
 
 
 def _assert_series_match(event_sim, fast_sim):
-    """Every recorded metric series agrees within the acceptance tolerance."""
+    """Every recorded metric series agrees within the acceptance tolerance.
+
+    Each binding's latency distribution must agree exactly: same
+    timestamps, same integer bin counts per sample (macro-ticks append one
+    shared summary per tick of the span, single ticks a fresh one).
+    """
     event_keys = {key for key, _ in event_sim.metrics.items()}
     fast_keys = {key for key, _ in fast_sim.metrics.items()}
     assert event_keys == fast_keys
@@ -233,6 +238,16 @@ def _assert_series_match(event_sim, fast_sim):
             assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
                 f"{key} diverged at sample {tick}: {a} vs {b}"
             )
+    assert sorted(event_sim.bindings) == sorted(fast_sim.bindings)
+    for name in fast_sim.bindings:
+        key = (f"workload:{name}", "latency_ms")
+        series = fast_sim.metrics.distribution(*key)
+        twin = event_sim.metrics.distribution(*key)
+        assert series is not None and twin is not None, f"no distribution for {key}"
+        assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
+        assert [s.counts for s in twin.values] == [s.counts for s in series.values], (
+            f"distribution counts differ for {key}"
+        )
 
 
 class TestQuiescenceAdversarial:

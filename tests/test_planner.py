@@ -381,8 +381,8 @@ class TestPlannerController:
         # p99, so the planner starts converging toward its target.
         pump(controller, backend, [5000.0, 5000.0])
         assert backend.added == ["rs-auto-1"]
-        event = controller.log.events[-1]
-        assert event.action == AutoscalerAction.ADD_NODE
+        event = controller.log[-1]
+        assert event.kind == AutoscalerAction.ADD_NODE
         assert "ceiling 1ms" in event.detail
 
     def test_budget_clamp_logs_the_refusal_once_per_ask(self):
@@ -396,7 +396,7 @@ class TestPlannerController:
         pump(controller, backend, [5000.0] * 4)
         assert backend.added == []
         blocks = [
-            e for e in controller.log.events if e.action == AutoscalerAction.NONE
+            e for e in controller.log if e.kind == AutoscalerAction.NONE
         ]
         assert len(blocks) == 1
         assert "budget 0.05/h caps cluster at 1 nodes" in blocks[0].detail
@@ -408,7 +408,7 @@ class TestPlannerController:
             start=controller._last_sample_time,
         )
         blocks = [
-            e for e in controller.log.events if e.action == AutoscalerAction.NONE
+            e for e in controller.log if e.kind == AutoscalerAction.NONE
         ]
         assert len(blocks) == 2 and blocks[0].detail != blocks[1].detail
 
@@ -426,8 +426,8 @@ class TestPlannerController:
         # even demand * (1 + headroom + margin) fits on two nodes.
         pump(controller, backend, [1000.0, 1000.0])
         assert backend.removed == ["rs2"]
-        event = controller.log.events[-1]
-        assert event.action == AutoscalerAction.REMOVE_NODE
+        event = controller.log[-1]
+        assert event.kind == AutoscalerAction.REMOVE_NODE
         assert "unused headroom" in event.detail
 
     def test_cooldown_spaces_actions(self):
