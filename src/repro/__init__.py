@@ -12,8 +12,8 @@ depends on:
   key-value client API (put/get/delete/scan).
 * :mod:`repro.iaas` -- an OpenStack-like IaaS provider used by the actuator
   to start and stop virtual machines.
-* :mod:`repro.monitoring` -- Ganglia/JMX-like metric collectors and
-  exponential smoothing.
+* :mod:`repro.monitoring` -- the metrics collector (system metrics and
+  request counters) and exponential smoothing.
 * :mod:`repro.core` -- the MeT framework itself: Monitor, Decision Maker
   (Stages A-D, Algorithms 1-3) and Actuator, plus the node configuration
   profiles of Table 1.

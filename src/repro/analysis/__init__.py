@@ -2,7 +2,7 @@
 
 Everything the repro sells -- golden traces, the resumable campaign
 store, planner fingerprints -- rests on byte-determinism and on the
-event kernel's dirty-signature discipline.  This package turns those
+event kernel's dirty-flag discipline.  This package turns those
 contracts into tooling:
 
 * ``repro.analysis.engine`` walks the repo's Python files and applies

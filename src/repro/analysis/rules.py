@@ -326,7 +326,7 @@ def check_d3(ctx: ModuleContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# D4: the mutator audit (dirty-signature discipline)
+# D4: the mutator audit (dirty-flag discipline)
 # --------------------------------------------------------------------------
 
 def _assignment_targets(node: ast.stmt) -> Iterator[ast.expr]:

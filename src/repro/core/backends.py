@@ -121,8 +121,11 @@ class HBaseBackend:
     """Adapter exposing a :class:`MiniHBaseCluster` as a cluster backend.
 
     The functional cluster has no hardware model, so system metrics are
-    derived from request counters: a node's "CPU" is its share of the total
-    requests served since the previous poll, normalised by the busiest node.
+    derived from request counters: a node's "CPU" is its share of the
+    requests served in the current poll window, normalised by the busiest
+    node.  A poll asks for every server once; asking for a server a second
+    time opens the next window.  So every server of one poll reads the same
+    window, and a poll after no traffic reads zero.
     """
 
     def __init__(self, cluster: MiniHBaseCluster) -> None:
@@ -131,6 +134,10 @@ class HBaseBackend:
             server.name: server.profile_name for server in cluster.regionservers()
         }
         self._previous_totals: dict[str, int] = {}
+        #: Per-server requests of the current poll window (``None`` before
+        #: the first poll) and the servers already asked for in it.
+        self._window: dict[str, int] | None = None
+        self._window_asked: set[str] = set()
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -145,15 +152,19 @@ class HBaseBackend:
         )
 
     def node_system_metrics(self, name: str) -> dict[str, float]:
-        totals = {
-            server.name: server.total_requests()
-            for server in self.cluster.regionservers()
-        }
-        deltas = {
-            node: max(0, total - self._previous_totals.get(node, 0))
-            for node, total in totals.items()
-        }
-        self._previous_totals.update(totals)
+        if self._window is None or name in self._window_asked:
+            totals = {
+                server.name: server.total_requests()
+                for server in self.cluster.regionservers()
+            }
+            self._window = {
+                node: max(0, total - self._previous_totals.get(node, 0))
+                for node, total in totals.items()
+            }
+            self._previous_totals = totals
+            self._window_asked = set()
+        self._window_asked.add(name)
+        deltas = self._window
         busiest = max(deltas.values(), default=0)
         share = 0.0 if busiest == 0 else deltas.get(name, 0) / busiest
         server = self.cluster.regionserver(name)

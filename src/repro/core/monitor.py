@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from repro.core.parameters import MeTParameters
 from repro.monitoring.collector import ClusterSnapshot, MetricsCollector, MetricsSource
-from repro.monitoring.ganglia import GangliaCollector
-from repro.monitoring.jmx import JMXCollector
 
 
 class Monitor:
-    """Drives the Ganglia/JMX collectors and produces decision snapshots."""
+    """Drives the metrics collector and produces decision snapshots.
+
+    One :class:`MetricsCollector` samples both metric families the paper
+    gathers -- the Ganglia-style system metrics and the JMX-style request
+    counters -- so each monitoring period reads the source exactly once.
+    """
 
     def __init__(self, source: MetricsSource, parameters: MeTParameters | None = None) -> None:
         self.parameters = (parameters or MeTParameters()).validate()
@@ -27,18 +30,12 @@ class Monitor:
             decision_samples=self.parameters.decision_samples,
             smoothing_alpha=self.parameters.smoothing_alpha,
         )
-        self.ganglia = GangliaCollector(
-            source, period_seconds=self.parameters.monitor_period_seconds
-        )
-        self.jmx = JMXCollector(source)
         self.samples_taken = 0
 
     def step(self, now: float) -> None:
         """Sample the cluster if the monitoring period elapsed."""
         if not self.collector.due(now):
             return
-        self.ganglia.poll(now)
-        self.jmx.poll(now)
         self.collector.sample(now)
         self.samples_taken += 1
 
@@ -46,7 +43,7 @@ class Monitor:
         """Earliest simulated time at which :meth:`step` does real work.
 
         ``step(t)`` is a no-op for every ``t`` strictly below the returned
-        time (the collectors only poll when the monitoring period elapsed),
+        time (the collector only samples when the monitoring period elapsed),
         so the event-kernel harness may fast-forward across the gap.
         """
         return self.collector.next_due(now)

@@ -17,7 +17,7 @@ class MeTParameters:
     """All tunables of the MeT framework.
 
     Attributes:
-        monitor_period_seconds: Ganglia/JMX sampling period (30 s).
+        monitor_period_seconds: metrics sampling period (30 s).
         decision_samples: samples per Decision Maker invocation (6 -> 3 min).
         smoothing_alpha: exponential smoothing factor for observations.
         overload_threshold: a node is overloaded when its load (max of CPU

@@ -48,7 +48,7 @@ class TenantSeriesPoint:
     window's per-tick latency distribution summaries -- not means of
     per-tick percentiles -- so a one-tick latency spike inside the window
     surfaces at the tail even when the window mean hides it.  ``None`` when
-    the window holds no distributions (pre-distribution runs).
+    the window holds no distribution sample for the tenant.
     """
 
     minute: float
@@ -241,7 +241,6 @@ class ExperimentHarness:
         can_skip, disable_reason = self._skip_eligibility()
         self.run.skip_active = can_skip
         self.run.skip_disabled_reason = disable_reason
-        simulator.stats.extra["skip_disabled_reason"] = disable_reason
         remaining = seconds
         while remaining > 1e-9:
             if schedule is not None:
@@ -285,8 +284,8 @@ class ExperimentHarness:
         unknown controller must be stepped every tick, so its presence
         disables skipping entirely (conservative default).  That silence
         would otherwise cost a sweep the whole event-kernel speedup, so the
-        reason is recorded on the run and on ``KernelStats.extra`` and an
-        opaque controller draws a one-line warning.
+        reason is recorded on the run (``StrategyRun.skip_disabled_reason``)
+        and an opaque controller draws a one-line warning.
         """
         simulator = self.simulator
         if simulator.kernel != KERNEL_EVENT:

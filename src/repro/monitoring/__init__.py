@@ -1,16 +1,14 @@
-"""Monitoring substrate: Ganglia-like system metrics, JMX-like HBase metrics.
+"""Monitoring substrate: system metrics and HBase request counters.
 
 The paper's Monitor gathers CPU usage, memory usage and I/O wait through
 Ganglia and HBase-specific metrics (read/write/scan request counts per node
 and per Region, plus the locality index) through JMX, then applies
 exponential smoothing before handing observations to the Decision Maker
-(Sections 4.1 and 5).  This package provides those collectors against any
-cluster backend.
+(Sections 4.1 and 5).  :class:`MetricsCollector` samples both families from
+any cluster backend in one pass per monitoring period.
 """
 
 from repro.monitoring.collector import ClusterSnapshot, MetricsCollector, NodeSample, PartitionSample
-from repro.monitoring.ganglia import GangliaCollector
-from repro.monitoring.jmx import JMXCollector
 from repro.monitoring.smoothing import ExponentialSmoother
 
 __all__ = [
@@ -18,7 +16,5 @@ __all__ = [
     "MetricsCollector",
     "NodeSample",
     "PartitionSample",
-    "GangliaCollector",
-    "JMXCollector",
     "ExponentialSmoother",
 ]

@@ -148,7 +148,7 @@ def result_trace(result: ScenarioRunResult) -> dict:
         # Per-tenant quality series as compact
         # [minute, ops/s, latency-ms, p95-ms, p99-ms] rows (capped precision;
         # see TENANT_SERIES_DECIMALS).  The percentile columns are null when
-        # the run recorded no latency distributions.
+        # the sampling window holds no latency distribution for the tenant.
         "tenant_series": {
             name: [
                 [
@@ -165,7 +165,7 @@ def result_trace(result: ScenarioRunResult) -> dict:
         # Whole-run merged latency distribution per tenant: the summary's
         # sparse integer histogram (exact, mergeable) plus headline
         # quantiles.  Counts are integers, so this section is byte-exact
-        # across kernels; empty when distributions were disabled.
+        # across kernels.
         "latency_distributions": {
             name: {
                 "bins_per_decade": BINS_PER_DECADE,

@@ -23,9 +23,9 @@ solvers in :mod:`repro.simulation.solvers`):
   slot-indexed rate rows, and stops iterating as soon as per-binding
   throughputs converge below ``fixed_point_tolerance``.  A tick-stable,
   insert-free fixed point is *reused* across ticks until any mutation
-  dirties it, and an internal :class:`~repro.simulation.events.EventLoop`
-  bounds how far a quiescent stretch may be fast-forwarded in one
-  macro-tick;
+  dirties it, and a quiescent stretch is fast-forwarded in one macro-tick
+  up to a horizon :meth:`ClusterSimulator.quiescent_ticks` derives from
+  node state (boot/restart deadlines, compaction completions);
 * ``kernel="fast"`` is the same solver with reuse and fast-forwarding off:
   every tick is solved.  It is the oracle the event kernel's reuse path is
   soaked against (byte-identical traces across the catalog);
@@ -44,13 +44,7 @@ from dataclasses import dataclass, field
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
 from repro.util.rng import make_rng
 from repro.simulation.clock import SimulationClock
-from repro.simulation.events import (
-    EVENT_COMPACTION_DONE,
-    EVENT_NODE_ONLINE,
-    EventLoop,
-    KernelStats,
-    SimulationEvent,
-)
+from repro.simulation.events import KernelStats
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
@@ -88,10 +82,11 @@ DEFAULT_FIXED_POINT_TOLERANCE = 1e-8
 #: Iteration cap of the fixed-point solver (the seed always ran this many).
 DEFAULT_FIXED_POINT_ITERATIONS = 10
 
-#: Safety margin (ticks) by which compaction-completion events are
-#: scheduled early: the ticks between the event and the actual completion
-#: are simulated for real (cheap -- the cached solution is still reused),
-#: which keeps macro-tick spans strictly clear of the completion tick.
+#: Safety margin (ticks) by which the fast-forward horizon stops short of
+#: a compaction's completion: the ticks between the horizon and the actual
+#: completion are simulated for real (cheap -- the cached solution is still
+#: reused), which keeps macro-tick spans strictly clear of the completion
+#: tick.
 _COMPACTION_EVENT_MARGIN_TICKS = 2.0
 
 
@@ -131,10 +126,11 @@ class SimulatedRegion:
                 owner._reindex_region(self, old, value)
             return
         object.__setattr__(self, name, value)
-        if name == "block_homes":
-            # Replacing the block-home set changes locality, which the event
-            # kernel's cached solution depends on (compaction completions and
-            # placement plans assign it directly).
+        if name == "block_homes" or name == "size_bytes":
+            # Locality and region size feed the event kernel's cached
+            # solution: compaction completions and placement plans assign
+            # the block-home set directly, data-growth bursts the size
+            # (tick apply grows sizes through __dict__, bypassing this).
             owner = getattr(self, "_owner", None)
             if owner is not None:
                 owner._mark_structure()
@@ -230,16 +226,9 @@ class ClusterSimulator:
         self._rated_regions: list[SimulatedRegion] = []
         #: Bumped on attach/detach; invalidates the cached rate context.
         self._workloads_version = 0
-        #: Bumped on any topology/config/hardware/assignment/locality change;
-        #: together with the workload version it forms the signature the
-        #: event kernel's cached solution is keyed on.
-        self._structure_version = 0
         #: Pre-fault hardware of degraded nodes (see degrade_node).
         self._base_hardware: dict[str, HardwareSpec] = {}
         self.total_ops = 0.0
-        #: Internal event queue bounding event-kernel fast-forwards (boot /
-        #: restart / compaction completions).  Unused by the other kernels.
-        self.events = EventLoop()
         #: Tick/solve/skip counters (benchmark + regression instrumentation).
         self.stats = KernelStats()
         self._solver = make_solver(kernel, self)
@@ -271,10 +260,6 @@ class ClusterSimulator:
             node.state_until = self.clock.now + self.boot_seconds
         self.nodes[name] = node
         self._mark_structure()
-        if self.kernel == KERNEL_EVENT and not online:
-            self.events.schedule(
-                node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
-            )
         return name
 
     def remove_node(self, name: str, reassign: bool = True) -> None:
@@ -380,10 +365,6 @@ class ClusterSimulator:
         node.state = STATE_RESTARTING
         node.state_until = self.clock.now + self.restart_seconds
         self._mark_structure()
-        if self.kernel == KERNEL_EVENT:
-            self.events.schedule(
-                node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
-            )
         return drained
 
     def major_compact(self, name: str) -> float:
@@ -401,7 +382,6 @@ class ClusterSimulator:
         )
         node.pending_compaction_bytes += bytes_to_rewrite
         self._mark_dirty()
-        self._schedule_compaction_event(node)
         return bytes_to_rewrite
 
     # ------------------------------------------------------------------ #
@@ -464,9 +444,6 @@ class ClusterSimulator:
             heap_bytes=base.heap_bytes,
         )
         self._mark_structure()
-        # A changed disk budget changes the compaction drain rate; schedule a
-        # fresh conservative completion event (stale ones are harmless).
-        self._schedule_compaction_event(node)
 
     def base_hardware(self, name: str) -> HardwareSpec | None:
         """A node's pre-degradation hardware (its current spec if healthy).
@@ -491,7 +468,6 @@ class ClusterSimulator:
         if node is not None and base is not None:
             node.hardware = base
             self._mark_structure()
-            self._schedule_compaction_event(node)
 
     # ------------------------------------------------------------------ #
     # workload management
@@ -668,47 +644,32 @@ class ClusterSimulator:
     # ------------------------------------------------------------------ #
     # event kernel: quiescence detection and fast-forward
     # ------------------------------------------------------------------ #
-    def steady_horizon(self) -> float:
-        """Earliest simulated time at which a tick could differ from the
-        cached fixed point.
-
-        Returns ``clock.now`` when the next tick must be simulated for real
-        (no reusable solution, or a live event is already due), the earliest
-        live event / lifecycle deadline when one lies ahead, and ``inf``
-        when nothing internal bounds a fast-forward.  Callers combine this
-        with their own bounds (scenario schedules, controller wake-ups,
-        sampling cadences) before skipping.
-        """
-        now = self.clock.now
-        if not self._solver.reuse_ready():
-            return now
-        horizon = self.events.horizon(now, self._event_stale)
-        if horizon <= now:
-            return now
-        # Belt and braces: node lifecycle deadlines bound the horizon even
-        # if a state was mutated without going through a scheduling mutator.
-        for node in self.nodes.values():
-            if node.state in (STATE_BOOTING, STATE_RESTARTING):
-                until = node.state_until
-                if until <= now:
-                    return now
-                if until < horizon:
-                    horizon = until
-        return horizon
-
     def quiescent_ticks(self, max_ticks: int) -> int:
         """Number of immediately-upcoming ticks that can be fast-forwarded.
 
-        0 unless the event kernel has a reusable solution covering at least
-        the next two ticks.  Every returned tick starts strictly before the
-        steady horizon, so the first tick at (or after) the horizon is
-        always simulated for real.
+        0 unless the solver holds a reusable fixed point covering at least
+        the next two ticks.  The span is bounded by a *horizon* derived from
+        node state -- the earliest time a tick could differ from the cached
+        fixed point: the earliest boot/restart deadline and, per online
+        compacting node, its completion time less a safety margin.  Every
+        returned tick starts strictly before the horizon, so the first tick
+        at (or after) it is always simulated for real.  Callers combine the
+        result with their own bounds (scenario schedules, controller
+        wake-ups, sampling cadences) before skipping.
         """
-        if max_ticks < 2:
+        if max_ticks < 2 or not self._solver.reuse_ready():
             return 0
         now = self.clock.now
         dt = self.clock.tick_seconds
-        horizon = self.steady_horizon()
+        horizon = float("inf")
+        for node in self.nodes.values():
+            if node.state in (STATE_BOOTING, STATE_RESTARTING):
+                horizon = min(horizon, node.state_until)
+        margin = _COMPACTION_EVENT_MARGIN_TICKS * dt
+        for node, rate in self._compacting_nodes():
+            horizon = min(
+                horizon, now + node.pending_compaction_bytes / rate - margin
+            )
         if horizon <= now + dt:
             return 0
         if horizon == float("inf"):
@@ -727,20 +688,13 @@ class ClusterSimulator:
         is simulated tick by tick instead.
         """
         dt = self.clock.tick_seconds
-        background: dict[str, float] = {}
-        compacting: list[tuple[SimulatedNode, float]] = []
-        for node in self.nodes.values():
-            if node.pending_compaction_bytes <= 0 or not node.online:
-                continue
-            rate = self._compaction_rate(node)
-            background[node.name] = rate
-            compacting.append((node, rate))
-        results = self._solver.reuse(background)
+        compacting = self._compacting_nodes()
+        results = self._solver.reuse({node.name: rate for node, rate in compacting})
         if results is None:
             for _ in range(ticks):
                 self.tick(dt)
             return
-        # No completion can occur in-span (the compaction event's margin
+        # No completion can occur in-span (the horizon's compaction margin
         # guarantees pending stays positive), so the per-tick decrement
         # collapses to one multiply.
         for node, rate in compacting:
@@ -777,7 +731,6 @@ class ClusterSimulator:
         for region in self.regions.values():
             object.__setattr__(region, "_owner", None)
         self._solver = None
-        self.events.clear()
         self._sorted_regions_cache.clear()
         self._rated_regions = []
 
@@ -787,39 +740,7 @@ class ClusterSimulator:
 
     def _mark_structure(self) -> None:
         """A mutation changed topology/config/assignment/locality state."""
-        self._structure_version += 1
         self._solver.invalidate()
-
-    def _event_stale(self, event: SimulationEvent) -> bool:
-        """Whether a queued event no longer refers to live simulator state."""
-        kind = event.kind
-        if kind == EVENT_NODE_ONLINE:
-            name, until = event.payload
-            node = self.nodes.get(name)
-            return (
-                node is None
-                or node.state not in (STATE_BOOTING, STATE_RESTARTING)
-                or node.state_until != until
-            )
-        if kind == EVENT_COMPACTION_DONE:
-            (name,) = event.payload
-            node = self.nodes.get(name)
-            return node is None or node.pending_compaction_bytes <= 0.0
-        return False
-
-    def _schedule_compaction_event(self, node: SimulatedNode) -> None:
-        """Queue a conservative completion marker for a node's compaction."""
-        if self.kernel != KERNEL_EVENT or node.pending_compaction_bytes <= 0:
-            return
-        rate = self._compaction_rate(node)
-        eta = (
-            self.clock.now
-            + node.pending_compaction_bytes / rate
-            - _COMPACTION_EVENT_MARGIN_TICKS * self.clock.tick_seconds
-        )
-        self.events.schedule(
-            max(self.clock.now, eta), EVENT_COMPACTION_DONE, (node.name,)
-        )
 
     # ------------------------------------------------------------------ #
     # internals
@@ -896,10 +817,7 @@ class ClusterSimulator:
     def _progress_compactions(self, dt: float) -> dict[str, float]:
         """Advance compactions; return per-node background disk bytes/s."""
         background: dict[str, float] = {}
-        for node in self.nodes.values():
-            if node.pending_compaction_bytes <= 0 or not node.online:
-                continue
-            rate = self._compaction_rate(node)
+        for node, rate in self._compacting_nodes():
             done = min(node.pending_compaction_bytes, rate * dt)
             node.pending_compaction_bytes -= done
             background[node.name] = rate
@@ -909,9 +827,14 @@ class ClusterSimulator:
                     region.block_homes = {node.name}
         return background
 
-    def _compaction_rate(self, node: SimulatedNode) -> float:
-        """Background disk bytes/s a node's running major compaction uses."""
-        return node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
+    def _compacting_nodes(self) -> list[tuple[SimulatedNode, float]]:
+        """Online nodes with a running major compaction, each with the
+        background disk bytes/s the compaction uses."""
+        return [
+            (node, node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE)
+            for node in self.nodes.values()
+            if node.pending_compaction_bytes > 0 and node.online
+        ]
 
     def _apply_tick_results(self, dt: float, ticks: int, results: SolveResult) -> None:
         """Apply one solved (or reused) tick result ``ticks`` times.

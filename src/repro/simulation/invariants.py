@@ -1,10 +1,10 @@
-"""The dirty-signature mutator inventory, as machine-checkable data.
+"""The dirty-flag mutator inventory, as machine-checkable data.
 
 The event kernel caches a fixed-point solution between ticks and only
-recomputes it when the cluster's *dirty signature* changes (see
+recomputes it after a mutation sets the solver's *dirty flag* (see
 ``ClusterSimulator.invalidate_solution`` and PERFORMANCE.md).  That
 discipline is a contract: every method that mutates solver-feeding state
-must either bump a dirty marker itself or write through an attribute
+must either call a dirty marker itself or write through an attribute
 hook that does.  This module declares that contract as plain data so the
 static pass (``python -m repro.analysis``, rule D4) can cross-reference
 the declaration against the actual method bodies -- an undeclared
@@ -20,8 +20,8 @@ live class).
 from __future__ import annotations
 
 # Methods that change cluster *structure* (nodes joining/leaving/changing
-# shape, regions moving).  Each must bump the structure version, directly
-# via _mark_structure() / invalidate_solution() or through the hooked
+# shape, regions moving).  Each must set the dirty flag, directly via
+# _mark_structure() / invalidate_solution() or through the hooked
 # SimulatedRegion attributes below.
 STRUCTURE_MUTATORS: frozenset[str] = frozenset(
     {
@@ -64,10 +64,12 @@ DIRTY_MARKERS: frozenset[str] = frozenset(
 )
 
 # SimulatedRegion attributes intercepted by __setattr__: assigning them
-# re-indexes / bumps the structure version automatically, so plain
+# re-indexes / sets the dirty flag automatically, so plain
 # ``region.node = ...`` is already safe and rule D4 treats such writes
 # as discharged.
-HOOKED_REGION_ATTRIBUTES: frozenset[str] = frozenset({"node", "block_homes"})
+HOOKED_REGION_ATTRIBUTES: frozenset[str] = frozenset(
+    {"node", "block_homes", "size_bytes"}
+)
 
 # SimulatedNode attributes the fixed-point solver reads.  Writing them
 # outside a declared mutator (or without invalidating afterwards) leaves
@@ -101,7 +103,7 @@ SOLVER_STATE_CONTAINERS: frozenset[str] = frozenset({"nodes", "regions", "bindin
 # output back onto the cluster.  They write guarded state by design
 # (that is their job -- e.g. macro_tick draining pending compaction
 # bytes, _apply_tick_results committing drained counters) and manage
-# the dirty signature explicitly, so rule D4 exempts them rather than
+# the dirty flag explicitly, so rule D4 exempts them rather than
 # demanding a declaration per write.
 TICK_MACHINERY: frozenset[str] = frozenset(
     {

@@ -12,9 +12,9 @@ distribution summaries.  Two solvers produce it:
   index, memoised :class:`NodeEvaluator` contexts, slot-indexed rate rows
   and adaptive convergence.  Under ``kernel="event"`` it also *reuses*
   solutions: a tick-stable, insert-free fixed point is replayed verbatim
-  until a dirty flag (any simulator mutation), a background-I/O change or
-  an internal event invalidates it.  ``kernel="fast"`` is the same solver
-  with reuse off, the oracle the reuse path is soaked against.
+  until the dirty flag (set by every simulator mutation) or a
+  background-I/O change invalidates it.  ``kernel="fast"`` is the same
+  solver with reuse off, the oracle the reuse path is soaked against.
 
 Solvers deliberately share the simulator's topology caches (region index,
 assignment versions); solver-private state (evaluator memos, rate contexts,
@@ -264,9 +264,8 @@ class EventSolver(SolverStrategy):
 
     Reuse is conservative.  A cached solution is only replayed when ALL of:
 
-    * no simulator mutation since the solve (every mutator calls
-      :meth:`invalidate`; the (workloads, structure) version signature is a
-      second line of defence against direct-attribute mutation);
+    * no simulator mutation since the solve (every mutator, and every
+      hooked region attribute write, calls :meth:`invalidate`);
     * the solve was *tick-stable*: its achieved throughputs equal, bit for
       bit, the seed throughputs it started from (each solve seeds the
       damped iteration with the previous tick's achieved values, so a
@@ -292,7 +291,6 @@ class EventSolver(SolverStrategy):
         self._rate_context_cache: tuple[int, dict, list] | None = None
         self._cached: SolveResult | None = None
         self._cached_bg: dict[str, float] = {}
-        self._cached_sig: tuple[int, int] | None = None
         self._cached_reusable = False
 
     # -- cache management ------------------------------------------------ #
@@ -303,16 +301,8 @@ class EventSolver(SolverStrategy):
         self._node_evaluators.pop(name, None)
         self._cached = None
 
-    def _signature(self) -> tuple[int, int]:
-        sim = self._sim
-        return (sim._workloads_version, sim._structure_version)
-
     def reuse_ready(self) -> bool:
-        return (
-            self._cached is not None
-            and self._cached_reusable
-            and self._cached_sig == self._signature()
-        )
+        return self._cached is not None and self._cached_reusable
 
     def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
         if not self.reuse_ready():
@@ -347,7 +337,6 @@ class EventSolver(SolverStrategy):
         )
         self._cached = results
         self._cached_bg = dict(compaction_bg)
-        self._cached_sig = self._signature()
         self._cached_reusable = stable and insert_free
         return results
 

@@ -1,8 +1,8 @@
-"""Event-kernel regressions: event queue, dirty flags, fast-forward fidelity.
+"""Event-kernel regressions: dirty flags, fast-forward fidelity.
 
 Three layers of guarantees:
 
-* :class:`EventLoop` / :class:`KernelStats` unit behaviour;
+* :class:`KernelStats` unit behaviour;
 * *conservative quiescence*: every simulator mutation forces a real solve
   on the next tick (the dirty-flag inventory in PERFORMANCE.md);
 * *fast-forward fidelity*: a stretch covered by macro-ticks produces
@@ -21,7 +21,7 @@ from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.experiments.harness import ExperimentHarness, make_backend
 from repro.scenarios.schedule import EventSchedule, ScheduledAction
 from repro.simulation.cluster import ClusterSimulator
-from repro.simulation.events import EventLoop, KernelStats
+from repro.simulation.events import KernelStats
 from repro.simulation.workload import WorkloadBinding
 
 
@@ -72,40 +72,6 @@ def assert_identical_metrics(left: ClusterSimulator, right: ClusterSimulator) ->
         )
 
 
-class TestEventLoop:
-    def test_pops_earliest_first(self):
-        loop = EventLoop()
-        loop.schedule(30.0, "b")
-        loop.schedule(10.0, "a")
-        loop.schedule(20.0, "c")
-        assert [loop.pop().kind for _ in range(3)] == ["a", "c", "b"]
-        assert loop.pop() is None
-
-    def test_ties_break_by_insertion_order(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "first")
-        loop.schedule(10.0, "second")
-        assert loop.pop().kind == "first"
-        assert loop.pop().kind == "second"
-
-    def test_horizon_prunes_stale_events(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "stale")
-        loop.schedule(20.0, "live")
-        horizon = loop.horizon(0.0, stale=lambda event: event.kind == "stale")
-        assert horizon == 20.0
-        assert len(loop) == 1
-
-    def test_horizon_returns_now_when_event_due(self):
-        loop = EventLoop()
-        loop.schedule(5.0, "due")
-        assert loop.horizon(5.0, stale=lambda event: False) == 5.0
-
-    def test_horizon_infinite_when_drained(self):
-        loop = EventLoop()
-        assert loop.horizon(0.0, stale=lambda event: False) == float("inf")
-
-
 class TestKernelStats:
     def test_steady_fraction(self):
         stats = KernelStats(ticks=10, solves=2)
@@ -114,7 +80,6 @@ class TestKernelStats:
 
     def test_reset(self):
         stats = KernelStats(ticks=5, solves=5, skipped_ticks=3, macro_batches=1)
-        stats.extra["note"] = 1
         stats.reset()
         assert stats == KernelStats()
 
@@ -160,6 +125,10 @@ class TestSolutionReuse:
             pytest.param(
                 lambda sim: setattr(sim.regions["r0"], "block_homes", {"rs-1", "rs-2"}),
                 id="direct_block_homes_write",
+            ),
+            pytest.param(
+                lambda sim: setattr(sim.regions["r0"], "size_bytes", 2.5e10),
+                id="direct_size_bytes_write",
             ),
             pytest.param(
                 lambda sim: setattr(sim.regions["r0"], "node", "rs-2"),
@@ -335,7 +304,7 @@ class TestSkipEligibility:
     """Satellite fix: a silently disabled fast-forward path is now loud.
 
     ``run_for`` records *whether* quiescence skipping was active and, when
-    not, *why* -- on the run and on ``KernelStats.extra`` -- so a campaign
+    not, *why* -- on the run -- so a campaign
     can assert the event-kernel speedup actually engaged instead of
     discovering a 10x slowdown in wall-clock graphs.
     """
@@ -347,21 +316,18 @@ class TestSkipEligibility:
         assert run.skip_active is False
         assert "_OpaqueController" in run.skip_disabled_reason
         assert "next_wakeup" in run.skip_disabled_reason
-        assert sim.stats.extra["skip_disabled_reason"] == run.skip_disabled_reason
         assert sim.stats.skipped_ticks == 0
 
     def test_standard_controllers_keep_skipping_active(self):
-        harness, sim = _build_harness("event", daemon_period=45.0)
+        harness, _ = _build_harness("event", daemon_period=45.0)
         run = harness.run_for(600.0)
         assert run.skip_active is True
         assert run.skip_disabled_reason == ""
-        assert sim.stats.extra["skip_disabled_reason"] == ""
 
     def test_non_event_kernel_records_reason_without_warning(self):
-        harness, sim = _build_harness("fast")
+        harness, _ = _build_harness("fast")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning would fail the test
             run = harness.run_for(600.0)
         assert run.skip_active is False
         assert "fast" in run.skip_disabled_reason
-        assert sim.stats.extra["skip_disabled_reason"] == run.skip_disabled_reason

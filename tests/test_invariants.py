@@ -56,14 +56,18 @@ def test_solver_state_containers_exist(simulator):
 
 
 def test_region_node_hook_bumps_structure_version(simulator):
+    """Every hooked region attribute write dirties the cached solution."""
     names = sorted(simulator.nodes)
     region = simulator.add_region("r-hook", workload="w", size_bytes=1.0, node=names[0])
-    before = simulator._structure_version
-    region.node = names[1]
-    assert simulator._structure_version > before, (
-        "assigning region.node no longer bumps the structure version -- the "
-        "hook rule D4 relies on is gone"
-    )
-    before = simulator._structure_version
-    region.block_homes = {names[1]}
-    assert simulator._structure_version > before
+    for attr, value in (
+        ("node", names[1]),
+        ("block_homes", {names[1]}),
+        ("size_bytes", 2.0),
+    ):
+        simulator.tick()
+        assert simulator._solver.reuse_ready()
+        setattr(region, attr, value)
+        assert not simulator._solver.reuse_ready(), (
+            f"assigning region.{attr} no longer dirties the cached solution -- "
+            "the hook rule D4 relies on is gone"
+        )

@@ -332,3 +332,43 @@ class TestQuiescenceAdversarial:
             fast_sim.tick()
         assert event_sim.stats.skipped_ticks > 0
         _assert_series_match(event_sim, fast_sim)
+
+    def _compact_then(self, mutate):
+        """Start a long compaction on rs-2, mutate it mid-drain, run both."""
+        event_sim, fast_sim = _build_quiet_pair()
+        event_sim.run(300.0)
+        for _ in range(60):
+            fast_sim.tick()
+        # Gather every region on rs-2 so the drain spans ~17 ticks.
+        for sim in (event_sim, fast_sim):
+            for region in list(sim.regions.values()):
+                if region.node != "rs-2":
+                    sim.move_region(region.region_id, "rs-2")
+            assert sim.major_compact("rs-2") > 0
+        event_sim.run(30.0)
+        for _ in range(6):
+            fast_sim.tick()
+        assert event_sim.nodes["rs-2"].pending_compaction_bytes > 0
+        skipped = event_sim.stats.skipped_ticks
+        for sim in (event_sim, fast_sim):
+            mutate(sim)
+        event_sim.run(900.0)
+        for _ in range(180):
+            fast_sim.tick()
+        assert event_sim.stats.skipped_ticks > skipped, "fast-forward never engaged"
+        assert event_sim.nodes["rs-2"].pending_compaction_bytes == 0.0
+        assert event_sim.regions["r0"].locality == fast_sim.regions["r0"].locality == 1.0
+        _assert_series_match(event_sim, fast_sim)
+
+    def test_compacting_node_degraded_mid_drain(self):
+        """Halving the disk budget slows the drain: the completion the
+        horizon derives must move later with it."""
+        self._compact_then(lambda sim: sim.degrade_node("rs-2", disk=0.5))
+
+    def test_compacting_node_restarted_mid_drain(self):
+        """The drain stalls while the node restarts and resumes after it."""
+        self._compact_then(
+            lambda sim: sim.reconfigure_node(
+                "rs-2", NODE_PROFILES["read"].config, profile_name="read", drain=False
+            )
+        )

@@ -28,7 +28,15 @@ import pytest
 from repro.campaign import CampaignGrid, ResultsStore, ScaleSpec, apply_scale, run_campaign
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
-from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
+from repro.scenarios import (
+    CANNED_SCENARIOS,
+    DataGrowthBurst,
+    ScenarioSpec,
+    TenantSpec,
+    scenario_trace,
+    trace_to_json,
+)
+from repro.scenarios.catalog import SMALL_A, SMALL_C
 from repro.scenarios.runner import build_scenario
 from repro.scenarios.trace import GOLDEN_CONTROLLERS
 
@@ -52,6 +60,31 @@ class TestEventFastSoak:
             "event kernel may only reuse/fast-forward when the result is "
             "bit-exact (see PERFORMANCE.md)"
         )
+
+    def test_growth_on_insert_free_tenant_is_byte_identical_to_fast(self):
+        """A growth burst on a read-only tenant must dirty the reused solution.
+
+        The catalog's ``data_growth`` tenant issues inserts, so its solves
+        never reuse; here neither tenant inserts, and only the burst's
+        direct ``size_bytes`` writes change the fixed point.
+        """
+        spec = ScenarioSpec(
+            name="growth_insert_free",
+            tenants=(
+                TenantSpec(SMALL_C, target_ops=2400.0),
+                TenantSpec(SMALL_A, target_ops=2400.0),
+            ),
+            events=(
+                DataGrowthBurst(
+                    tenant="C", start_minute=2, duration_minutes=4, growth_factor=50
+                ),
+            ),
+        )
+        fast = scenario_trace(spec, "none", kernel="fast")
+        event = scenario_trace(spec, "none", kernel="event")
+        assert fast.pop("kernel") == "fast"
+        assert event.pop("kernel") == "event"
+        assert trace_to_json(fast) == trace_to_json(event)
 
 
 #: Campaign record fields that name the kernel rather than describe the run.

@@ -6,6 +6,7 @@ from repro.core.backends import HBaseBackend, SimulatorBackend
 from repro.core.decision import DecisionMaker
 from repro.core.framework import MeT
 from repro.core.interfaces import ClusterBackend
+from repro.core.monitor import Monitor
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES
 from repro.elasticity.daemon import HBaseBalancerDaemon
@@ -193,6 +194,26 @@ class TestHBaseBackend:
         backend.major_compact(name)
         backend.remove_node(name)
         assert name not in backend.node_names()
+
+    def test_monitor_sees_each_servers_share_of_one_poll_window(self):
+        cluster = MiniHBaseCluster(initial_servers=3)
+        cluster.create_table("t", split_keys=["b", "c"])
+        client = cluster.client()
+        for prefix in "abc":
+            for index in range(40):
+                client.put("t", f"{prefix}{index:02d}", "cf:v", b"x")
+                client.get("t", f"{prefix}{index:02d}")
+        servers = cluster.regionservers()
+        assert [server.total_requests() for server in servers] == [80, 80, 80]
+        backend = HBaseBackend(cluster)
+        monitor = Monitor(backend, MeTParameters())
+        monitor.step(0.0)
+        snapshot = monitor.snapshot(0.0)
+        assert [snapshot.nodes[server.name].cpu for server in servers] == [1.0, 1.0, 1.0]
+        # A poll after no traffic opens an empty window.
+        assert [
+            backend.node_system_metrics(server.name)["cpu"] for server in servers
+        ] == [0.0, 0.0, 0.0]
 
 
 class TestTiramola:

@@ -7,8 +7,6 @@ from repro.iaas.flavors import FLAVORS, REGIONSERVER_FLAVOR
 from repro.iaas.provider import IaaSError, OpenStackProvider, QuotaExceededError
 from repro.iaas.vm import VMState
 from repro.monitoring.collector import MetricsCollector
-from repro.monitoring.ganglia import GangliaCollector
-from repro.monitoring.jmx import JMXCollector
 from repro.monitoring.smoothing import ExponentialSmoother, smooth_series
 from repro.simulation.clock import SimulationClock
 from repro.simulation.workload import WorkloadBinding
@@ -78,30 +76,6 @@ def loaded_backend(simulator):
 
 
 class TestCollectors:
-    def test_ganglia_polls_system_metrics(self, loaded_backend):
-        ganglia = GangliaCollector(loaded_backend, period_seconds=30.0)
-        assert ganglia.due(0.0)
-        sample = ganglia.poll(0.0)
-        assert not ganglia.due(10.0)
-        assert ganglia.due(30.0)
-        for node_metrics in sample.values():
-            assert set(node_metrics) == {"cpu", "io_wait", "memory"}
-        node = next(iter(sample))
-        assert ganglia.latest(node, "cpu") == sample[node]["cpu"]
-        assert len(ganglia.history(node, "cpu")) == 1
-
-    def test_jmx_reports_partitions_and_rates(self, loaded_backend):
-        jmx = JMXCollector(loaded_backend)
-        stats = jmx.poll(0.0)
-        assert "r1" in stats
-        loaded_backend.simulator.run(30.0)
-        jmx.poll(30.0)
-        node = loaded_backend.simulator.regions["r1"].node
-        assert jmx.requests_per_second(node) > 0
-        assert 0.0 <= jmx.locality_index(node) <= 1.0
-        breakdown = jmx.region_request_breakdown()
-        assert breakdown["r1"]["reads"] > 0
-
     def test_metrics_collector_snapshot(self, loaded_backend):
         collector = MetricsCollector(loaded_backend, period_seconds=30.0, decision_samples=2)
         collector.sample(0.0)
